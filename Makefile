@@ -3,7 +3,7 @@ GO ?= go
 # Packages carrying the refresh-engine + broadcast + metrics benchmark
 # suite.
 BENCH_PKGS = ./internal/fft ./internal/acf ./internal/stream ./internal/server ./internal/obs ./internal/obs/trace
-BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath)$$
+BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkServedSearch|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath)$$
 
 # bench-gate knobs: fractional ns/op+B/op growth, absolute allocs/op
 # growth, and absolute B/op slack allowed over the committed

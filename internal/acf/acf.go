@@ -42,6 +42,11 @@ type Result struct {
 	// MaxACF is the largest peak correlation (0 when there are no peaks).
 	// It feeds the lower-bound pruning rule (Equation 6).
 	MaxACF float64
+	// Moments are the series' single-pass moments, whose mean and M2 are
+	// the ACF's centre and denominator, kept so a search over the same
+	// series need not recompute them. Incremental leaves them zero
+	// (N == 0): it maintains only the first two.
+	Moments stats.Moments
 }
 
 // Compute returns the ACF of xs for lags 1..maxLag using FFT-based
@@ -78,7 +83,7 @@ func ComputeBruteForce(xs []float64, maxLag int) (*Result, error) {
 	mom := stats.ComputeMoments(xs)
 	mean, denom := mom.Mean, mom.M2
 	if denom == 0 {
-		return &Result{Correlations: corr}, nil
+		return &Result{Correlations: corr, Moments: mom}, nil
 	}
 	corr[0] = 1
 	for tau := 1; tau <= maxLag; tau++ {
@@ -88,7 +93,7 @@ func ComputeBruteForce(xs []float64, maxLag int) (*Result, error) {
 		}
 		corr[tau] = num / denom
 	}
-	res := &Result{Correlations: corr}
+	res := &Result{Correlations: corr, Moments: mom}
 	res.Peaks, res.MaxACF = FindPeaks(corr)
 	return res, nil
 }

@@ -6,23 +6,24 @@ import (
 
 // Analyzer computes autocorrelations repeatedly — one series window after
 // another, as the streaming refresh path does — without per-call
-// allocation. It owns a real-input FFT plan and every scratch buffer the
-// Wiener–Khinchin round trip needs, and returns a Result whose slices it
-// also owns and reuses.
+// allocation. It owns every scratch buffer the Wiener–Khinchin round
+// trip needs over a shared real-input FFT plan (fft.RealPlanFor), and
+// returns a Result whose slices it also owns and reuses.
 //
 // An Analyzer produces results identical to the package-level Compute
 // (Compute is a one-shot Analyzer). It sizes itself lazily to the series
 // it is given: the first call, and any call that changes the series
-// length beyond what the current tables cover, rebuilds the plan and
-// buffers; calls at a steady length allocate nothing. That matches the
-// stream operator's life cycle — the window grows while the ring fills,
-// then stays at capacity forever.
+// length or lag count so that the FFT length changes, fetches the shared
+// plan for the new length and rebuilds the scratch buffers; calls at a
+// steady shape allocate nothing. That matches the stream operator's life
+// cycle — the window grows while the ring fills, then stays at capacity
+// forever.
 //
 // The returned Result (including Correlations and Peaks) is overwritten
 // by the next Compute call. An Analyzer is not safe for concurrent use;
 // it is designed to be owned by a single stream operator.
 type Analyzer struct {
-	wk wkEngine // the Wiener–Khinchin round trip (plan + scratch)
+	wk wkEngine // the Wiener–Khinchin round trip (shared plan + own scratch)
 
 	corr  []float64 // Result.Correlations backing store
 	peaks []int     // Result.Peaks backing store
@@ -49,21 +50,23 @@ func (a *Analyzer) Compute(xs []float64, maxLag int) (*Result, error) {
 	corr := a.corr[:maxLag+1]
 
 	// Single pass for mean and the sum of squared deviations (the ACF
-	// denominator), shared with ComputeBruteForce.
+	// denominator), shared with ComputeBruteForce and handed on to the
+	// search in Result.Moments.
 	mom := stats.ComputeMoments(xs)
 	if mom.M2 == 0 {
 		// Constant series: undefined ACF, reported as all-zero, no peaks.
 		for i := range corr {
 			corr[i] = 0
 		}
-		a.res = Result{Correlations: corr}
+		a.res = Result{Correlations: corr, Moments: mom}
 		return &a.res, nil
 	}
 
 	// Wiener–Khinchin: autocovariance = IFFT(|FFT(x - mean)|^2), zero-
-	// padded to at least 2n so the circular correlation is linear. The
-	// series is real, so the whole round trip runs at half size through
-	// the RealPlan (shared with Incremental's resync via wkEngine).
+	// padded past n + maxLag so the circular correlation is linear at
+	// every lag read. The series is real, so the whole round trip runs
+	// at half size through the RealPlan (shared with Incremental's
+	// resync via wkEngine).
 	cov := a.wk.lagProducts(xs, mom.Mean)
 
 	corr[0] = 1
@@ -74,15 +77,15 @@ func (a *Analyzer) Compute(xs []float64, maxLag int) (*Result, error) {
 
 	peaks, maxACF := appendPeaks(a.peaks[:0], corr)
 	a.peaks = peaks
-	a.res = Result{Correlations: corr, Peaks: peaks, MaxACF: maxACF}
+	a.res = Result{Correlations: corr, Peaks: peaks, MaxACF: maxACF, Moments: mom}
 	return &a.res, nil
 }
 
-// resize (re)builds the engine when the series length changes, and
-// grows the correlation store to cover maxLag. Steady-state calls
-// (same n, maxLag within capacity) do nothing.
+// resize (re)sizes the engine when the series length or lag count
+// changes, and grows the correlation store to cover maxLag.
+// Steady-state calls (same n and maxLag) do nothing.
 func (a *Analyzer) resize(n, maxLag int) error {
-	if err := a.wk.resize(n); err != nil {
+	if err := a.wk.resize(n, maxLag); err != nil {
 		return err
 	}
 	if cap(a.corr) < maxLag+1 {

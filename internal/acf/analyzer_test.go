@@ -129,6 +129,66 @@ func TestAnalyzerMatchesCompute(t *testing.T) {
 	}
 }
 
+// TestAnalyzerFFTSizedToLags checks the length rule: the transform is
+// NextPow2(n + maxLag + 1), the shortest zero padding at which circular
+// correlation equals linear correlation at every lag read, and every
+// lag still matches the brute-force estimator. The cases sit on both
+// sides of the power-of-two edges, where one lag more doubles the size.
+func TestAnalyzerFFTSizedToLags(t *testing.T) {
+	cases := []struct{ n, maxLag, m int }{
+		{800, 82, 1024}, // the served shape
+		{100, 27, 128},  // n + maxLag + 1 exactly a power of two
+		{100, 28, 256},  // one lag more
+		{64, 63, 128},   // every lag: the old 2n size
+		{5, 2, 8},
+		{1000, 23, 1024},
+		{1000, 24, 2048},
+	}
+	for _, c := range cases {
+		xs := sine(c.n, 12, 0.3, int64(c.n+c.maxLag))
+		a := NewAnalyzer()
+		got, err := a.Compute(xs, c.maxLag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.wk.m != c.m {
+			t.Errorf("n=%d maxLag=%d: FFT length %d, want %d", c.n, c.maxLag, a.wk.m, c.m)
+		}
+		want, err := ComputeBruteForce(xs, c.maxLag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tau := 0; tau <= c.maxLag; tau++ {
+			if d := math.Abs(got.Correlations[tau] - want.Correlations[tau]); d > 1e-9 {
+				t.Errorf("n=%d maxLag=%d tau=%d: fft %v, brute %v (diff %g)",
+					c.n, c.maxLag, tau, got.Correlations[tau], want.Correlations[tau], d)
+			}
+		}
+		if got.Moments != stats.ComputeMoments(xs) {
+			t.Errorf("n=%d: Result.Moments %+v, want the series' moments", c.n, got.Moments)
+		}
+	}
+}
+
+// TestAnalyzersSharePlans: the plan is process-wide per length, so a
+// second analyzer at the same shape holds only its own scratch.
+func TestAnalyzersSharePlans(t *testing.T) {
+	xs := sine(800, 40, 0.2, 3)
+	a, b := NewAnalyzer(), NewAnalyzer()
+	if _, err := a.Compute(xs, 82); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Compute(xs, 82); err != nil {
+		t.Fatal(err)
+	}
+	if a.wk.plan != b.wk.plan {
+		t.Error("two analyzers at one shape built separate FFT plans")
+	}
+	if &a.wk.rbuf[0] == &b.wk.rbuf[0] {
+		t.Error("two analyzers share scratch")
+	}
+}
+
 // TestAnalyzerMatchesPrePlan checks the new real-FFT engine against the
 // historical full-complex implementation to FFT accuracy.
 func TestAnalyzerMatchesPrePlan(t *testing.T) {

@@ -373,7 +373,8 @@ func (inc *Incremental) resync() {
 	}
 	inc.shift += mean
 
-	if err := inc.wk.resize(n); err != nil {
+	// The resync reads every lag, so the engine keeps the full 2n size.
+	if err := inc.wk.resize(n, n-1); err != nil {
 		// NextPow2 output is always a valid plan size; unreachable, but
 		// never panic in a hot path.
 		return

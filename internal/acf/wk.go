@@ -3,31 +3,33 @@ package acf
 import "github.com/asap-go/asap/internal/fft"
 
 // wkEngine owns one Wiener–Khinchin round trip: a real FFT plan sized
-// for linear (non-circular) autocorrelation of an n-point series, plus
-// every scratch buffer the trip needs. It is the machinery shared by
-// Analyzer (which runs it per refresh on the demeaned window) and
-// Incremental.resync (which runs it on the raw shifted window to
-// rebuild the maintained lagged products) — one copy of the plan
-// sizing and power-spectrum pipeline, so kernel changes (radix-4,
-// split-complex) land in both consumers at once.
+// for linear (non-circular) autocorrelation of an n-point series up to
+// a maximum lag, plus every scratch buffer the trip needs. It is the
+// machinery shared by Analyzer (which runs it per refresh on the
+// demeaned window) and Incremental.resync (which runs it on the raw
+// shifted window to rebuild the maintained lagged products) — one copy
+// of the plan sizing and power-spectrum pipeline, so kernel changes
+// (radix-4, split-complex) land in both consumers at once.
 type wkEngine struct {
-	n    int           // series length the buffers are currently sized for
-	m    int           // FFT length, NextPow2(2n)
-	plan *fft.RealPlan // real transform of length m
-	rbuf []float64     // (shifted) zero-padded input, length m
-	spec []complex128  // half spectrum / power spectrum
-	cov  []float64     // lagged products by lag, length m
+	n      int           // series length the buffers are currently sized for
+	maxLag int           // largest lag the buffers are currently sized for
+	m      int           // FFT length, NextPow2(n + maxLag + 1)
+	plan   *fft.RealPlan // shared real transform of length m
+	rbuf   []float64     // (shifted) zero-padded input, length m
+	spec   []complex128  // half spectrum / power spectrum
+	cov    []float64     // lagged products by lag, length m
 }
 
-// resize (re)builds the plan and scratch when the series length
-// changes; steady-length calls do nothing.
-func (e *wkEngine) resize(n int) error {
-	if n == e.n && e.plan != nil {
+// resize (re)sizes the engine for an n-point series read up to lag
+// maxLag (at most n-1); steady-shape calls do nothing. The plan comes
+// from the process-wide cache, so only the scratch is per engine.
+func (e *wkEngine) resize(n, maxLag int) error {
+	if n == e.n && maxLag == e.maxLag && e.plan != nil {
 		return nil
 	}
-	m := fft.NextPow2(2 * n)
+	m := fft.NextPow2(n + maxLag + 1)
 	if m != e.m || e.plan == nil {
-		plan, err := fft.NewRealPlan(m)
+		plan, err := fft.RealPlanFor(m)
 		if err != nil {
 			return err
 		}
@@ -37,14 +39,21 @@ func (e *wkEngine) resize(n int) error {
 		e.spec = make([]complex128, plan.SpectrumLen())
 		e.cov = make([]float64, m)
 	}
-	e.n = n
+	e.n, e.maxLag = n, maxLag
 	return nil
 }
 
 // lagProducts computes cov[τ] = Σ_{i} (xs[i]−shift)·(xs[i+τ]−shift)
-// for every lag into the engine's cov buffer and returns it (valid
-// until the next call). resize(len(xs)) must have succeeded first.
-// Zero-padding to m ≥ 2n makes the circular correlation linear.
+// for every lag τ <= maxLag into the engine's cov buffer and returns it
+// (valid until the next call; entries past maxLag are not linear
+// products). resize(len(xs), maxLag) must have succeeded first.
+//
+// Zero-padding to m > n + maxLag makes the circular correlation linear
+// for every lag the caller reads: the circular sum at lag τ wraps only
+// products x[i]·x[i+τ−m], which need i+τ−m >= 0 with i <= n−1, i.e.
+// τ >= m−n+1 > maxLag. Sizing to the lags read rather than to 2n
+// halves the served shape's transform (n = 800, maxLag = 82: 1024
+// points instead of 2048).
 func (e *wkEngine) lagProducts(xs []float64, shift float64) []float64 {
 	for i, x := range xs {
 		e.rbuf[i] = x - shift

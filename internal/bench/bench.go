@@ -93,8 +93,8 @@ type Experiment struct {
 	ID string
 	// Title describes the artifact.
 	Title string
-	// PaperClaim summarizes what the paper reports, for the side-by-side
-	// in EXPERIMENTS.md.
+	// PaperClaim summarizes what the paper reports; `asap-bench -run <id>`
+	// prints it above the experiment's measured tables.
 	PaperClaim string
 	// Run executes the experiment and returns its result tables.
 	Run func(cfg Config) ([]*Table, error)

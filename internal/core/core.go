@@ -87,6 +87,11 @@ type SearchOptions struct {
 	// (streaming mode maintains one incrementally). When nil, ASAP
 	// computes it; other strategies never need it.
 	ACF *acf.Result
+	// Moments, when non-nil, are the series' moments as
+	// stats.ComputeMoments returns them (acf.Analyzer computes them for
+	// the ACF and returns them in acf.Result.Moments). The search then
+	// skips its own pass over the series.
+	Moments *stats.Moments
 }
 
 // Result describes the outcome of a window search.
@@ -121,7 +126,8 @@ func Evaluate(xs []float64, w int) (Metrics, error) {
 	if w < 1 || w > n {
 		return Metrics{}, fmt.Errorf("%w: window %d for %d points", ErrInput, w, n)
 	}
-	var valMoments, diffMoments stats.Moments
+	var valMoments stats.Moments
+	var diffMoments stats.Moments2 // roughness needs only the variance
 	inv := 1 / float64(w)
 	var sum float64
 	for i := 0; i < w; i++ {
@@ -144,16 +150,31 @@ func Evaluate(xs []float64, w int) (Metrics, error) {
 	}, nil
 }
 
-// defaultMaxWindow returns the search bound for an n-point series.
-func defaultMaxWindow(n int) int {
-	mw := int(float64(n) * DefaultMaxWindowFraction)
-	if mw < 2 {
-		mw = 2
+// maxWindowFor returns the largest window a search over n points
+// considers: requested when positive, else DefaultMaxWindowFraction of n,
+// clamped to [2, n-1].
+func maxWindowFor(n, requested int) int {
+	mw := requested
+	if mw <= 0 {
+		mw = int(float64(n) * DefaultMaxWindowFraction)
 	}
 	if mw >= n {
 		mw = n - 1
 	}
+	if mw < 2 {
+		mw = 2
+	}
 	return mw
+}
+
+// MaxLag returns the largest autocorrelation lag the ASAP search reads
+// over an n-point series with SearchOptions.MaxWindow = maxWindow: two
+// lags past the search bound, so a peak at exactly the bound (a common
+// case — the dominant period often sets it) has the right neighbour it
+// needs to be detected as a local maximum, clamped to n-1. Callers that
+// precompute SearchOptions.ACF size it with this.
+func MaxLag(n, maxWindow int) int {
+	return minInt(n-1, maxWindowFor(n, maxWindow)+2)
 }
 
 // searchState carries the incumbent solution plus pruning state through
@@ -161,6 +182,7 @@ func defaultMaxWindow(n int) int {
 type searchState struct {
 	window        int
 	minRoughness  float64
+	best          Metrics // the incumbent's metrics when window > 1
 	origRoughness float64 // roughness of the unsmoothed series, computed once
 	origKurtosis  float64
 	lb            int
@@ -176,6 +198,7 @@ func (s *searchState) observe(w int, m Metrics) bool {
 		if m.Roughness < s.minRoughness {
 			s.minRoughness = m.Roughness
 			s.window = w
+			s.best = m
 		}
 		return true
 	}
@@ -201,18 +224,14 @@ func SearchInto(res *Result, strategy Strategy, xs []float64, opts SearchOptions
 	if n < 4 {
 		return fmt.Errorf("%w: need at least 4 points, have %d", ErrInput, n)
 	}
-	maxWindow := opts.MaxWindow
-	if maxWindow <= 0 {
-		maxWindow = defaultMaxWindow(n)
-	}
-	if maxWindow >= n {
-		maxWindow = n - 1
-	}
-	if maxWindow < 2 {
-		maxWindow = 2
-	}
+	maxWindow := maxWindowFor(n, opts.MaxWindow)
 
-	origMoments := stats.ComputeMoments(xs)
+	var origMoments stats.Moments
+	if opts.Moments != nil {
+		origMoments = *opts.Moments
+	} else {
+		origMoments = stats.ComputeMoments(xs)
+	}
 	origRoughness := stats.Roughness(xs)
 	st := searchState{
 		window:        1,
@@ -241,9 +260,15 @@ func SearchInto(res *Result, strategy Strategy, xs []float64, opts SearchOptions
 		return err
 	}
 
-	final, err := Evaluate(xs, st.window)
-	if err != nil {
-		return err
+	// observe kept the winner's metrics. Only an unsmoothed result needs
+	// an evaluation: Evaluate(xs, 1)'s rolling sum is not bit-equal to
+	// the series itself, so its roughness differs from stats.Roughness.
+	final := st.best
+	if st.window == 1 {
+		var err error
+		if final, err = Evaluate(xs, 1); err != nil {
+			return err
+		}
 	}
 	*res = Result{
 		Window:            st.window,
@@ -303,10 +328,7 @@ func searchASAP(xs []float64, maxWindow int, opts SearchOptions, st *searchState
 	acfRes := opts.ACF
 	if acfRes == nil {
 		var err error
-		// Compute two lags past the search bound: a peak at exactly
-		// maxWindow (a common case — the dominant period often sets the
-		// bound) needs a right neighbor to be detectable as a local max.
-		acfRes, err = acf.Compute(xs, minInt(n-1, maxWindow+2))
+		acfRes, err = acf.Compute(xs, MaxLag(n, maxWindow))
 		if err != nil {
 			return err
 		}

@@ -338,6 +338,60 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestMaxLag pins the one max-window rule that both the search and the
+// stream operator's ACF sizing read: the default fraction or the
+// override, clamped to [2, n-1], plus two lags, clamped to n-1. Below
+// 20 points the fraction rounds under 2, and the clamp still lets the
+// ACF show a peak at window 2.
+func TestMaxLag(t *testing.T) {
+	cases := []struct{ n, maxWindow, want int }{
+		{800, 0, 82}, // the served shape
+		{4, 0, 3},
+		{9, 0, 4},
+		{19, 0, 4},
+		{20, 0, 4},
+		{30, 0, 5},
+		{1000, 25, 27},
+		{1000, 5000, 999},
+		{100, 1, 4},
+	}
+	for _, c := range cases {
+		if got := MaxLag(c.n, c.maxWindow); got != c.want {
+			t.Errorf("MaxLag(%d, %d) = %d, want %d", c.n, c.maxWindow, got, c.want)
+		}
+	}
+}
+
+// TestSearchMetricsAreTheWinners checks that the result's metrics are
+// exactly Evaluate's at the chosen window, although the search no
+// longer re-evaluates the winner, and that handing SearchInto the
+// series' moments changes nothing.
+func TestSearchMetricsAreTheWinners(t *testing.T) {
+	prop := func(seed int64, stratRaw uint8) bool {
+		xs := noisySine(300+int(uint64(seed)%700), 10+int(uint64(seed)%50), 0.5, seed)
+		strat := Strategy(int(stratRaw) % 5)
+		res, err := Search(strat, xs, SearchOptions{})
+		if err != nil {
+			return false
+		}
+		m, err := Evaluate(xs, res.Window)
+		if err != nil {
+			return false
+		}
+		mom := stats.ComputeMoments(xs)
+		var given Result
+		if err := SearchInto(&given, strat, xs, SearchOptions{Moments: &mom}); err != nil {
+			return false
+		}
+		return math.Float64bits(res.Roughness) == math.Float64bits(m.Roughness) &&
+			math.Float64bits(res.Kurtosis) == math.Float64bits(m.Kurtosis) &&
+			given == *res
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMaxWindowOverride(t *testing.T) {
 	xs := noisySine(1000, 40, 0.3, 15)
 	res, err := Search(StrategyExhaustive, xs, SearchOptions{MaxWindow: 25})

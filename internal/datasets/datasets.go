@@ -23,8 +23,8 @@ import (
 )
 
 // Spec describes one evaluation dataset: its Table 2 metadata, the paper's
-// reported batch-search results (for EXPERIMENTS.md comparisons), and the
-// generator that synthesizes it.
+// reported batch-search results (printed beside the measured ones by
+// `asap-bench -run table2`), and the generator that synthesizes it.
 type Spec struct {
 	// Name matches Table 2 ("Taxi", "gas sensor", ...).
 	Name string

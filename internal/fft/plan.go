@@ -250,6 +250,25 @@ func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
 // Plans are immutable, so sharing across goroutines is safe.
 var planCache sync.Map // int -> *Plan
 
+// realPlanCache memoizes RealPlans per size for RealPlanFor.
+var realPlanCache sync.Map // int -> *RealPlan
+
+// RealPlanFor returns the process-wide RealPlan for real series of length
+// n, which must be a power of two >= 2. RealPlans are immutable, so every
+// caller transforming one size (each stream operator's ACF engine) shares
+// one set of twiddle and bit-reversal tables instead of holding its own.
+func RealPlanFor(n int) (*RealPlan, error) {
+	if v, ok := realPlanCache.Load(n); ok {
+		return v.(*RealPlan), nil
+	}
+	p, err := NewRealPlan(n)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := realPlanCache.LoadOrStore(n, p)
+	return v.(*RealPlan), nil
+}
+
 // planFor returns the cached Plan for power-of-two size n.
 func planFor(n int) *Plan {
 	if v, ok := planCache.Load(n); ok {

@@ -29,6 +29,35 @@ func TestNewPlanRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// TestRealPlanForShared checks that RealPlanFor hands every caller of
+// one size the same immutable plan, and rejects the sizes NewRealPlan
+// rejects.
+func TestRealPlanForShared(t *testing.T) {
+	a, err := RealPlanFor(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RealPlanFor(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("RealPlanFor(1024) returned two different plans")
+	}
+	c, err := RealPlanFor(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a || c.Size() != 2048 {
+		t.Errorf("RealPlanFor(2048) = %d-point plan (shared with 1024: %v), want a distinct 2048-point plan", c.Size(), c == a)
+	}
+	for _, n := range []int{0, 1, 3, 12} {
+		if _, err := RealPlanFor(n); err == nil {
+			t.Errorf("RealPlanFor(%d) should fail", n)
+		}
+	}
+}
+
 // TestPlanMatchesNaiveDFT is the tentpole differential test: the planned
 // transform must agree with the O(n^2) direct DFT at every power-of-two
 // size the refresh engine can reach.

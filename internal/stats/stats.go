@@ -92,6 +92,41 @@ func (m *Moments) Add(x float64) {
 	m.M2 += term1
 }
 
+// Moments2 is the N, Mean and M2 part of Moments: the accumulator for
+// callers that need only the variance (the roughness of a difference
+// series). Its Add runs Moments.Add's N, Mean and M2 lines verbatim, and
+// those lines never read M3 or M4, so Moments2 and Moments agree bit for
+// bit on N, Mean, M2 and every statistic derived from them, without the
+// M3 and M4 arithmetic.
+type Moments2 struct {
+	N    int
+	Mean float64
+	M2   float64 // sum of (x-mean)^2
+}
+
+// Add folds one observation into the moments.
+func (m *Moments2) Add(x float64) {
+	n1 := float64(m.N)
+	m.N++
+	n := float64(m.N)
+	delta := x - m.Mean
+	deltaN := delta / n
+	term1 := delta * deltaN * n1
+	m.Mean += deltaN
+	m.M2 += term1
+}
+
+// Variance returns the population variance implied by the moments.
+func (m Moments2) Variance() float64 {
+	if m.N < 2 {
+		return 0
+	}
+	return m.M2 / float64(m.N)
+}
+
+// StdDev returns the population standard deviation implied by the moments.
+func (m Moments2) StdDev() float64 { return math.Sqrt(m.Variance()) }
+
 // Merge combines two moment sketches as if their underlying samples were
 // concatenated. Merging with an empty sketch is the identity.
 func (m *Moments) Merge(o Moments) {
@@ -173,7 +208,7 @@ func Roughness(xs []float64) float64 {
 		return 0
 	}
 	// One-pass over differences; avoids materializing Diff.
-	var m Moments
+	var m Moments2
 	for i := 1; i < len(xs); i++ {
 		m.Add(xs[i] - xs[i-1])
 	}

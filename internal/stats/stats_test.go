@@ -211,6 +211,28 @@ func TestMomentsMatchDirect(t *testing.T) {
 	}
 }
 
+// TestMoments2MatchesMoments pins the variance-only accumulator to the
+// full one bit for bit: Roughness and core.Evaluate's difference series
+// switched to Moments2 on the promise that no frame changes.
+func TestMoments2MatchesMoments(t *testing.T) {
+	prop := func(xs []float64, scale float64) bool {
+		var full Moments
+		var two Moments2
+		for _, x := range xs {
+			x = clamp(x) * (1 + math.Abs(clamp(scale)))
+			full.Add(x)
+			two.Add(x)
+		}
+		return two.N == full.N &&
+			math.Float64bits(two.Mean) == math.Float64bits(full.Mean) &&
+			math.Float64bits(two.M2) == math.Float64bits(full.M2) &&
+			math.Float64bits(two.StdDev()) == math.Float64bits(full.StdDev())
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMomentsMergeEquivalentToConcat(t *testing.T) {
 	prop := func(a, b []float64) bool {
 		var left, right, whole Moments

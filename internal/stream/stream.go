@@ -20,8 +20,8 @@
 // # The refresh engine
 //
 // The steady-state refresh path is allocation-free. The operator owns a
-// reusable acf.Analyzer (FFT plan plus scratch buffers), a reusable
-// core.Result, a chronological window scratch, and a smoothed-output
+// reusable acf.Analyzer (ACF scratch over a process-wide FFT plan), a
+// reusable core.Result, a chronological window scratch, and a smoothed-output
 // buffer; a refresh runs the ACF, the search, and the SMA entirely in
 // that state, then copies the smoothed series once into a pooled,
 // reference-counted frame buffer. Consumers that Release frames when
@@ -234,21 +234,12 @@ func New(cfg Config) (*Operator, error) {
 		// Size the maintainer for the at-capacity search: the lags a
 		// refresh requests only shrink while the window is still growing,
 		// so this one bound covers the operator's whole life.
-		maxW := cfg.MaxWindow
-		if maxW <= 0 {
-			maxW = int(float64(capacity) * core.DefaultMaxWindowFraction)
+		maxLag := core.MaxLag(capacity, cfg.MaxWindow)
+		inc, err := acf.NewIncremental(acf.IncrementalConfig{Capacity: capacity, MaxLag: maxLag})
+		if err != nil {
+			return nil, fmt.Errorf("%w: incremental ACF: %v", ErrConfig, err)
 		}
-		maxLag := maxW + 2
-		if maxLag > capacity-1 {
-			maxLag = capacity - 1
-		}
-		if maxLag >= 1 {
-			inc, err := acf.NewIncremental(acf.IncrementalConfig{Capacity: capacity, MaxLag: maxLag})
-			if err != nil {
-				return nil, fmt.Errorf("%w: incremental ACF: %v", ErrConfig, err)
-			}
-			o.inc = inc
-		}
+		o.inc = inc
 	}
 	return o, nil
 }
@@ -553,29 +544,21 @@ func (o *Operator) refresh() (Frame, bool) {
 		SeedWindow: o.lastWindow,
 	}
 	if o.cfg.Strategy == core.StrategyASAP {
-		maxWindow := opts.MaxWindow
-		if maxWindow <= 0 {
-			maxWindow = int(float64(len(data)) * core.DefaultMaxWindowFraction)
-		}
-		maxLag := maxWindow + 2
-		if maxLag > len(data)-1 {
-			maxLag = len(data) - 1
-		}
-		if maxLag >= 1 {
-			if o.inc != nil {
-				// Incremental path: O(maxLag) maintenance already happened
-				// at pane arrival; the query is O(n) for the drift sentinel
-				// plus O(maxLag) for the correlations.
-				if r, err := o.inc.Result(maxLag); err == nil {
-					opts.ACF = r
-				}
-			} else {
-				if o.analyzer == nil {
-					o.analyzer = acf.NewAnalyzer()
-				}
-				if r, err := o.analyzer.Compute(data, maxLag); err == nil {
-					opts.ACF = r
-				}
+		maxLag := core.MaxLag(len(data), opts.MaxWindow)
+		if o.inc != nil {
+			// Incremental path: O(maxLag) maintenance already happened
+			// at pane arrival; the query is O(n) for the drift sentinel
+			// plus O(maxLag) for the correlations.
+			if r, err := o.inc.Result(maxLag); err == nil {
+				opts.ACF = r
+			}
+		} else {
+			if o.analyzer == nil {
+				o.analyzer = acf.NewAnalyzer()
+			}
+			if r, err := o.analyzer.Compute(data, maxLag); err == nil {
+				// The analyzer's moments pass is the search's too.
+				opts.ACF, opts.Moments = r, &r.Moments
 			}
 		}
 	}
