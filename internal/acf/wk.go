@@ -11,35 +11,30 @@ import "github.com/asap-go/asap/internal/fft"
 // of the plan sizing and power-spectrum pipeline, so kernel changes
 // (radix-4, split-complex) land in both consumers at once.
 type wkEngine struct {
-	n      int           // series length the buffers are currently sized for
-	maxLag int           // largest lag the buffers are currently sized for
-	m      int           // FFT length, NextPow2(n + maxLag + 1)
-	plan   *fft.RealPlan // shared real transform of length m
-	rbuf   []float64     // (shifted) zero-padded input, length m
-	spec   []complex128  // half spectrum / power spectrum
-	cov    []float64     // lagged products by lag, length m
+	m    int           // FFT length, NextPow2(n + maxLag + 1)
+	plan *fft.RealPlan // shared real transform of length m
+	rbuf []float64     // (shifted) zero-padded input, length m
+	spec []complex128  // half spectrum / power spectrum
+	cov  []float64     // lagged products by lag, length m
 }
 
-// resize (re)sizes the engine for an n-point series read up to lag
-// maxLag (at most n-1); steady-shape calls do nothing. The plan comes
-// from the process-wide cache, so only the scratch is per engine.
+// resize sizes the engine for an n-point series read up to lag maxLag
+// (at most n-1); calls that keep the FFT length do nothing. The plan
+// comes from the process-wide cache, so only the scratch is per engine.
 func (e *wkEngine) resize(n, maxLag int) error {
-	if n == e.n && maxLag == e.maxLag && e.plan != nil {
+	m := fft.NextPow2(n + maxLag + 1)
+	if m == e.m && e.plan != nil {
 		return nil
 	}
-	m := fft.NextPow2(n + maxLag + 1)
-	if m != e.m || e.plan == nil {
-		plan, err := fft.RealPlanFor(m)
-		if err != nil {
-			return err
-		}
-		e.plan = plan
-		e.m = m
-		e.rbuf = make([]float64, m)
-		e.spec = make([]complex128, plan.SpectrumLen())
-		e.cov = make([]float64, m)
+	plan, err := fft.RealPlanFor(m)
+	if err != nil {
+		return err
 	}
-	e.n, e.maxLag = n, maxLag
+	e.plan = plan
+	e.m = m
+	e.rbuf = make([]float64, m)
+	e.spec = make([]complex128, plan.SpectrumLen())
+	e.cov = make([]float64, m)
 	return nil
 }
 
