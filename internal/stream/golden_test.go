@@ -20,8 +20,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/frame_hashes.gol
 // The served shape: the server's default window and resolution, fed in
 // the small batches a line-protocol client posts.
 const (
-	goldenWindowPoints = 14400
-	goldenResolution   = 800
+	servedWindowPoints = 14400
+	servedResolution   = 800
 	goldenBatch        = 32
 	goldenPoints       = 60000 // per dataset
 	goldenSeed         = 1
@@ -33,7 +33,7 @@ const (
 // of frames hashed.
 func goldenFrameHash(t testing.TB, xs []float64) (string, int) {
 	t.Helper()
-	op, err := New(Config{WindowPoints: goldenWindowPoints, Resolution: goldenResolution})
+	op, err := New(Config{WindowPoints: servedWindowPoints, Resolution: servedResolution})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,11 +53,11 @@ func warmServed(tb testing.TB, feed *servedFeed, ops int) []*Operator {
 	tb.Helper()
 	out := make([]*Operator, ops)
 	for i := range out {
-		op, err := New(Config{WindowPoints: goldenWindowPoints, Resolution: goldenResolution})
+		op, err := New(Config{WindowPoints: servedWindowPoints, Resolution: servedResolution})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		op.Prefill(feed.next(i, goldenWindowPoints))
+		op.Prefill(feed.next(i, servedWindowPoints))
 		for k := 0; k < 3; k++ {
 			f, ok := op.PushBatch(feed.next(i, op.Ratio()))
 			if !ok {
