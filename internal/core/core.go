@@ -85,13 +85,10 @@ type SearchOptions struct {
 	SeedWindow int
 	// ACF, when non-nil, is a precomputed autocorrelation for the series
 	// (streaming mode maintains one incrementally). When nil, ASAP
-	// computes it; other strategies never need it.
+	// computes it; other strategies never need it. When its Moments
+	// cover the series (Moments.N == len(xs)), the search uses them
+	// instead of making its own pass.
 	ACF *acf.Result
-	// Moments, when non-nil, are the series' moments as
-	// stats.ComputeMoments returns them (acf.Analyzer computes them for
-	// the ACF and returns them in acf.Result.Moments). The search then
-	// skips its own pass over the series.
-	Moments *stats.Moments
 }
 
 // Result describes the outcome of a window search.
@@ -225,10 +222,19 @@ func SearchInto(res *Result, strategy Strategy, xs []float64, opts SearchOptions
 		return fmt.Errorf("%w: need at least 4 points, have %d", ErrInput, n)
 	}
 	maxWindow := maxWindowFor(n, opts.MaxWindow)
+	if strategy == StrategyASAP && opts.ACF == nil {
+		// Computed before the moments so its moments pass is the
+		// search's too.
+		r, err := acf.Compute(xs, MaxLag(n, maxWindow))
+		if err != nil {
+			return err
+		}
+		opts.ACF = r
+	}
 
 	var origMoments stats.Moments
-	if opts.Moments != nil {
-		origMoments = *opts.Moments
+	if opts.ACF != nil && opts.ACF.Moments.N == n {
+		origMoments = opts.ACF.Moments
 	} else {
 		origMoments = stats.ComputeMoments(xs)
 	}
@@ -322,17 +328,11 @@ func searchBinary(xs []float64, head, tail int, st *searchState) error {
 
 // searchASAP is Algorithm 2 (FindWindow): evaluate ACF peaks from large to
 // small with Algorithm 1's pruning, then refine with binary search over the
-// surviving range.
+// surviving range. opts.ACF is set: SearchInto computes it when the
+// caller did not.
 func searchASAP(xs []float64, maxWindow int, opts SearchOptions, st *searchState) error {
 	n := len(xs)
 	acfRes := opts.ACF
-	if acfRes == nil {
-		var err error
-		acfRes, err = acf.Compute(xs, MaxLag(n, maxWindow))
-		if err != nil {
-			return err
-		}
-	}
 	corr := acfRes.Correlations
 
 	// Streaming seed (CheckLastWindow): verify the previous window first.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/asap-go/asap/internal/acf"
 	"github.com/asap-go/asap/internal/sma"
 	"github.com/asap-go/asap/internal/stats"
 )
@@ -364,8 +365,8 @@ func TestMaxLag(t *testing.T) {
 
 // TestSearchMetricsAreTheWinners checks that the result's metrics are
 // exactly Evaluate's at the chosen window, although the search no
-// longer re-evaluates the winner, and that handing SearchInto the
-// series' moments changes nothing.
+// longer re-evaluates the winner, and that handing SearchInto an ACF,
+// with or without the series' moments, changes nothing.
 func TestSearchMetricsAreTheWinners(t *testing.T) {
 	prop := func(seed int64, stratRaw uint8) bool {
 		xs := noisySine(300+int(uint64(seed)%700), 10+int(uint64(seed)%50), 0.5, seed)
@@ -378,14 +379,21 @@ func TestSearchMetricsAreTheWinners(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mom := stats.ComputeMoments(xs)
-		var given Result
-		if err := SearchInto(&given, strat, xs, SearchOptions{Moments: &mom}); err != nil {
+		r, err := acf.Compute(xs, MaxLag(len(xs), 0))
+		if err != nil {
+			return false
+		}
+		var given, noMoments Result
+		if err := SearchInto(&given, strat, xs, SearchOptions{ACF: r}); err != nil {
+			return false
+		}
+		r.Moments = stats.Moments{} // as acf.Incremental leaves them
+		if err := SearchInto(&noMoments, strat, xs, SearchOptions{ACF: r}); err != nil {
 			return false
 		}
 		return math.Float64bits(res.Roughness) == math.Float64bits(m.Roughness) &&
 			math.Float64bits(res.Kurtosis) == math.Float64bits(m.Kurtosis) &&
-			given == *res
+			given == *res && noMoments == *res
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -557,8 +557,7 @@ func (o *Operator) refresh() (Frame, bool) {
 				o.analyzer = acf.NewAnalyzer()
 			}
 			if r, err := o.analyzer.Compute(data, maxLag); err == nil {
-				// The analyzer's moments pass is the search's too.
-				opts.ACF, opts.Moments = r, &r.Moments
+				opts.ACF = r
 			}
 		}
 	}
